@@ -6,10 +6,15 @@
 //!
 //! The two runs must produce *identical* [`ExperimentMetrics`]: digests
 //! change how knowledge travels, never which items replicate or when they
-//! deliver. The bench asserts that before reporting any numbers, and also
-//! cross-checks the per-node [`ReconStats`] sums against the observer's
-//! `recon.*` registry counters (the digest run carries a [`Registry`], so
-//! the observation path is exercised end to end).
+//! deliver. The bench asserts that before reporting any numbers.
+//!
+//! Both modes are timed the same way: with no observer attached, median
+//! of [`REPEATS`] alternating replays in one process. Their wall-time
+//! ratio (`wall_ratio`, digest over full) is what digest mode costs in
+//! CPU for the bytes it saves. A separate, untimed digest replay carries
+//! a [`Registry`] and cross-checks the per-node [`ReconStats`] sums
+//! against the observer's `recon.*` counters, so the observation path is
+//! exercised end to end without weighing on either timing.
 //!
 //! A second section sweeps the Bloom filter density (bits per version)
 //! over a fixed two-node overlap scenario with
@@ -17,7 +22,8 @@
 //! false-positive trade the filter sizing buys (fp rate ≈ 0.6185^bits).
 //!
 //! Results land in `BENCH_recon.json` in the working directory; the perf
-//! guard gates on `metadata_ratio` ≥ 3 and nonzero digest traffic.
+//! guard gates on `metadata_ratio` ≥ 3, nonzero digest traffic, and — on
+//! full-size (≥ 30-day) artifacts — `wall_ratio` ≤ 2.5.
 //!
 //! `REPLIDTN_EMU_DAYS` overrides the replay length (default 30); CI's
 //! perf-smoke job sets it to 1 for a fast structural check.
@@ -32,6 +38,9 @@ use obs::Registry;
 use pfr::digest::{DigestPolicy, ReconStats};
 use pfr::{ReplicaId, SimTime, SyncMode};
 use traces::{DieselNetConfig, EmailConfig, EmailWorkload, EncounterTrace};
+
+/// Timed replays per mode; each mode reports its median.
+const REPEATS: usize = 5;
 
 /// One emulation replay in the given sync mode, returning the metrics,
 /// the summed per-node recon stats, and the wall time.
@@ -114,6 +123,11 @@ fn bloom_sweep_row(bits: u32) -> (ReconStats, usize) {
     (stats, b.inbox().len())
 }
 
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 fn main() {
     let days: u64 = std::env::var("REPLIDTN_EMU_DAYS")
         .ok()
@@ -138,17 +152,33 @@ fn main() {
         workload.len()
     );
 
-    let (full_metrics, full_stats, full_s) = run_mode(&trace, &workload, SyncMode::Full, None);
-    println!("  full    : {full_s:7.2}s");
+    // Alternate the modes so both sample the same stretch of host time;
+    // every repeat must reproduce the first one exactly.
+    let mut full_times = Vec::new();
+    let mut digest_times = Vec::new();
+    let (full_metrics, full_stats, _) = run_mode(&trace, &workload, SyncMode::Full, None);
+    let (digest_metrics, digest_stats, _) = run_mode(&trace, &workload, SyncMode::Digest, None);
     assert_eq!(
         full_stats.exchanges, 0,
         "full mode must never touch the digest path"
     );
-
-    let registry = Arc::new(Registry::new());
-    let (digest_metrics, digest_stats, digest_s) =
-        run_mode(&trace, &workload, SyncMode::Digest, Some(registry.clone()));
-    println!("  digest  : {digest_s:7.2}s");
+    for _ in 0..REPEATS {
+        let (metrics, _, seconds) = run_mode(&trace, &workload, SyncMode::Full, None);
+        assert_eq!(metrics, full_metrics, "full replays diverged");
+        full_times.push(seconds);
+        let (metrics, stats, seconds) = run_mode(&trace, &workload, SyncMode::Digest, None);
+        assert_eq!(
+            (metrics, stats),
+            (digest_metrics.clone(), digest_stats),
+            "digest replays diverged"
+        );
+        digest_times.push(seconds);
+    }
+    let full_s = median(&mut full_times);
+    let digest_s = median(&mut digest_times);
+    let wall_ratio = digest_s / full_s.max(1e-9);
+    println!("  full    : {full_s:7.3}s (median of {REPEATS})");
+    println!("  digest  : {digest_s:7.3}s (median of {REPEATS}), {wall_ratio:.2}x full");
 
     // The tentpole invariant: digests change what travels, never what
     // replicates. Byte-identical metrics or the bench refuses to report.
@@ -157,7 +187,19 @@ fn main() {
         "digest mode changed experiment results"
     );
 
-    // The observation path must agree with the per-node counters.
+    // The observation path must agree with the per-node counters, and
+    // observing must not change the run.
+    let registry = Arc::new(Registry::new());
+    let (observed_metrics, observed_stats, _) =
+        run_mode(&trace, &workload, SyncMode::Digest, Some(registry.clone()));
+    assert_eq!(
+        observed_metrics, digest_metrics,
+        "the observer changed results"
+    );
+    assert_eq!(
+        observed_stats, digest_stats,
+        "the observer changed digest counters"
+    );
     let snapshot = registry.snapshot();
     assert_eq!(
         snapshot.counter("recon.digest_bytes"),
@@ -214,11 +256,13 @@ fn main() {
             "  \"messages\": {messages},\n",
             "  \"metrics_identical\": true,\n",
             "  \"delivered\": {delivered},\n",
-            "  \"full\": {{\"seconds\": {full_s:.3}}},\n",
-            "  \"digest\": {{\"seconds\": {digest_s:.3}, \"exchanges\": {exchanges}, ",
+            "  \"repeats\": {repeats},\n",
+            "  \"full\": {{\"seconds\": {full_s:.6}}},\n",
+            "  \"digest\": {{\"seconds\": {digest_s:.6}, \"exchanges\": {exchanges}, ",
             "\"digest_bytes\": {digest_bytes}, \"full_bytes\": {full_bytes}, ",
             "\"bytes_saved\": {bytes_saved}, \"fallback_rounds\": {fallback_rounds}, ",
             "\"false_positives\": {false_positives}}},\n",
+            "  \"wall_ratio\": {wall_ratio:.2},\n",
             "  \"metadata_ratio\": {ratio:.2},\n",
             "  \"bloom_sweep\": [{sweep}]\n",
             "}}\n",
@@ -227,6 +271,7 @@ fn main() {
         encounters = trace.len(),
         messages = workload.len(),
         delivered = digest_metrics.delivered(),
+        repeats = REPEATS,
         full_s = full_s,
         digest_s = digest_s,
         exchanges = digest_stats.exchanges,
@@ -237,6 +282,7 @@ fn main() {
             .saturating_sub(digest_stats.digest_bytes),
         fallback_rounds = digest_stats.fallback_rounds,
         false_positives = digest_stats.false_positives,
+        wall_ratio = wall_ratio,
         ratio = ratio,
         sweep = sweep_json.join(", "),
     );

@@ -97,7 +97,6 @@ impl EncounterReport {
 pub struct DigestSessionState {
     pending: PendingExchange,
     full: pfr::sync::SyncRequest<'static>,
-    full_bytes: u64,
     kind: &'static str,
 }
 
@@ -111,7 +110,7 @@ impl DigestSessionState {
     /// Encoded size of the full-mode request: the bytes full mode would
     /// have spent where the digest went instead.
     pub fn full_bytes(&self) -> u64 {
-        self.full_bytes
+        self.pending.full_bytes()
     }
 
     /// Summary kind of the digest request (`"full"`, `"unchanged"`,
@@ -595,7 +594,6 @@ impl DtnNode {
     ) -> (DigestRequest, DigestSessionState) {
         let full = sync::begin_sync(&mut self.replica, self.policy.as_mut(), now, Some(source))
             .into_owned();
-        let full_bytes = pfr::wire::to_bytes(&full).len() as u64;
         let (request, pending) = self.recon.build_request(source, &full);
         let kind = request.summary.kind();
         (
@@ -603,7 +601,6 @@ impl DtnNode {
             DigestSessionState {
                 pending,
                 full,
-                full_bytes,
                 kind,
             },
         )
@@ -630,28 +627,31 @@ impl DtnNode {
         false_positives: u64,
     ) {
         // A resync that retransmitted the full request is accounted as a
-        // "full" exchange, mirroring the in-process driver.
-        let kind = if fallback_rounds > 0 && knowledge_shared {
-            "full"
-        } else {
-            state.kind
-        };
+        // "full" exchange, mirroring the in-process driver, and reseeds the
+        // snapshot cache with the retransmitted knowledge.
+        let DigestSessionState {
+            mut pending,
+            full,
+            kind,
+        } = state;
+        let resynced = fallback_rounds > 0 && knowledge_shared;
+        if resynced {
+            pending.resynced(full.knowledge.into_owned());
+        }
+        let kind = if resynced { "full" } else { kind };
+        let full_bytes = pending.full_bytes();
         self.replica.observer().emit(|| Event::ReconDigest {
             replica: self.replica.id().as_u64(),
             peer: source.as_u64(),
             kind,
             digest_bytes,
-            full_bytes: state.full_bytes,
+            full_bytes,
             fallback_rounds,
             false_positives,
         });
-        self.recon.note_exchange(
-            digest_bytes,
-            state.full_bytes,
-            fallback_rounds,
-            false_positives,
-        );
-        self.recon.commit_sent(state.pending, knowledge_shared);
+        self.recon
+            .note_exchange(digest_bytes, full_bytes, fallback_rounds, false_positives);
+        self.recon.commit_sent(pending, knowledge_shared);
     }
 
     /// Answers a digest request as the *source*. A [`DigestResponse::Batch`]
@@ -674,16 +674,23 @@ impl DtnNode {
             .resolve(&self.replica, request.target, &request.summary)
         {
             SummaryOutcome::Resolved(knowledge) => {
+                let (batch, knowledge) = prepare_digest_batch(
+                    &mut self.replica,
+                    self.policy.as_mut(),
+                    request,
+                    knowledge,
+                    filter,
+                    limits,
+                    now,
+                );
                 // Bloom-resolved knowledge is a conservative subset, not
                 // the peer's exact set; it must not seed the delta cache.
-                let exact = request.summary.kind() != "bloom";
-                let batch =
-                    self.prepare_digest_batch(request, knowledge.clone(), &filter, limits, now);
+                let snapshot = request.summary.snapshot(knowledge);
                 self.recon.commit_peer(
                     request.target,
-                    exact.then_some(knowledge),
+                    snapshot,
                     request.filter_fingerprint,
-                    &filter,
+                    request.filter.as_ref(),
                 );
                 DigestResponse::Batch(batch)
             }
@@ -706,10 +713,22 @@ impl DtnNode {
     ) -> Option<pfr::sync::SyncBatch> {
         let filter = self.recon.effective_filter(request.target, request)?;
         let (known, _false_positives) = digest::knowledge_from_answer(query, answer)?;
-        let batch = self.prepare_digest_batch(request, known, &filter, limits, now);
+        let (batch, _) = prepare_digest_batch(
+            &mut self.replica,
+            self.policy.as_mut(),
+            request,
+            Cow::Owned(known),
+            filter,
+            limits,
+            now,
+        );
         // Query rounds convey a lossy knowledge view: cache the filter only.
-        self.recon
-            .commit_peer(request.target, None, request.filter_fingerprint, &filter);
+        self.recon.commit_peer(
+            request.target,
+            None,
+            request.filter_fingerprint,
+            request.filter.as_ref(),
+        );
         Some(batch)
     }
 
@@ -723,31 +742,15 @@ impl DtnNode {
         now: SimTime,
     ) -> pfr::sync::SyncBatch {
         let batch = self.respond_sync(request, limits, now);
+        let knowledge = request.knowledge.as_ref().clone();
+        let checksum = digest::knowledge_checksum(&knowledge);
         self.recon.commit_peer(
             request.target,
-            Some(request.knowledge.as_ref().clone()),
+            Some((knowledge, checksum)),
             request.filter.fingerprint(),
-            request.filter.as_ref(),
+            Some(request.filter.as_ref()),
         );
         batch
-    }
-
-    /// Source-role batch preparation shared by the digest reply paths.
-    fn prepare_digest_batch(
-        &mut self,
-        request: &DigestRequest,
-        knowledge: pfr::Knowledge,
-        filter: &Filter,
-        limits: SyncLimits,
-        now: SimTime,
-    ) -> pfr::sync::SyncBatch {
-        let full = pfr::sync::SyncRequest {
-            target: request.target,
-            knowledge: Cow::Owned(knowledge),
-            filter: Cow::Owned(filter.clone()),
-            routing: request.routing.clone(),
-        };
-        sync::prepare_batch(&mut self.replica, self.policy.as_mut(), &full, limits, now)
     }
 
     /// Serializes the node's full durable state: replica snapshot, address
@@ -981,6 +984,27 @@ fn node_sync(
         target.links.reset_tx(source_id);
     }
     report
+}
+
+/// Source-role batch preparation shared by the digest reply paths; hands
+/// the resolved knowledge back for the snapshot cache.
+fn prepare_digest_batch<'k>(
+    replica: &mut Replica,
+    policy: &mut dyn DtnPolicy,
+    request: &DigestRequest,
+    knowledge: Cow<'k, pfr::Knowledge>,
+    filter: &'k Filter,
+    limits: SyncLimits,
+    now: SimTime,
+) -> (pfr::sync::SyncBatch, Cow<'k, pfr::Knowledge>) {
+    let full = pfr::sync::SyncRequest {
+        target: request.target,
+        knowledge,
+        filter: Cow::Borrowed(filter),
+        routing: request.routing.clone(),
+    };
+    let batch = sync::prepare_batch(replica, policy, &full, limits, now);
+    (batch, full.knowledge)
 }
 
 fn limits_for(remaining: Option<usize>) -> SyncLimits {
@@ -1471,6 +1495,68 @@ mod tests {
             digest * 3 <= full,
             "steady-state digests should cost <= 1/3 of full metadata: {digest} vs {full}"
         );
+    }
+
+    /// A routing envelope the source cannot decode (it lost the delta
+    /// base) surfaces as "no routing data" and makes the driver reset the
+    /// target's `tx` cache, so the next request carries the full payload
+    /// and the pair is back in step.
+    #[test]
+    fn undecodable_routing_envelope_resets_the_senders_cache() {
+        let mut a = node(1, "a", PolicyKind::Prophet);
+        let mut b = node(2, "b", PolicyKind::Prophet);
+        a.set_sync_mode(SyncMode::Digest);
+        b.set_sync_mode(SyncMode::Digest);
+        let (a_id, b_id) = (a.id(), b.id());
+        // A routing vector long enough that small changes travel as deltas.
+        for n in 3..12 {
+            let mut other = node(n, &format!("n{n}"), PolicyKind::Prophet);
+            b.encounter(
+                &mut other,
+                SimTime::from_secs(n),
+                EncounterBudget::unlimited(),
+            );
+        }
+        for t in 1..4 {
+            a.encounter(
+                &mut b,
+                SimTime::from_secs(t * 60),
+                EncounterBudget::unlimited(),
+            );
+        }
+        assert!(
+            b.links.link(a_id).tx.is_some(),
+            "b deltas against a cached base"
+        );
+        // a forgets what b last sent it: b's next delta cannot be decoded.
+        a.links.link(b_id).rx = None;
+        let r = node_sync(
+            &mut a,
+            &mut b,
+            true,
+            SyncLimits::unlimited(),
+            SimTime::from_secs(300),
+        );
+        assert_eq!(r.duplicates, 0);
+        assert!(
+            a.links.link(b_id).rx.is_none(),
+            "nothing decoded, nothing cached"
+        );
+        assert!(
+            b.links.link(a_id).tx.is_none(),
+            "the sender's base is reset"
+        );
+        // The next request travels in full and decodes again.
+        node_sync(
+            &mut a,
+            &mut b,
+            true,
+            SyncLimits::unlimited(),
+            SimTime::from_secs(360),
+        );
+        let rx = a.links.link(b_id).rx.clone().expect("decoded");
+        let tx = b.links.link(a_id).tx.clone().expect("re-seeded");
+        assert_eq!(rx, tx, "both ends hold the same base and sum");
     }
 
     /// Losing one side's digest caches mid-conversation (a crash) makes

@@ -55,6 +55,11 @@ impl RoutingState {
         &self.0
     }
 
+    /// Unwraps the encoded routing data.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.0
+    }
+
     /// Returns `true` if no routing data is present.
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()

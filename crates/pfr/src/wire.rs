@@ -87,8 +87,13 @@ impl std::error::Error for WireError {}
 /// decoder straight through the stack guard page.
 pub const MAX_DECODE_DEPTH: usize = 64;
 
+/// Bytes [`Writer::put_varint`] writes for `value`.
+pub fn varint_len(value: u64) -> usize {
+    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Append-only encoder.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Writer {
     buf: BytesMut,
 }
@@ -383,7 +388,7 @@ pub fn to_bytes<T: Encode>(value: &T) -> Vec<u8> {
 /// sync session's frames, a WAL's appends — allocates nothing per message.
 /// Tracks reuse and byte counters for the `wire.scratch_reuses` /
 /// `wire.bytes_encoded` observability counters.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct EncodeScratch {
     w: Writer,
     encodes: u64,
@@ -1060,6 +1065,7 @@ mod tests {
             let mut w = Writer::new();
             w.put_varint(v);
             let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), varint_len(v));
             let mut r = Reader::new(&bytes);
             assert_eq!(r.get_varint().unwrap(), v);
             assert_eq!(r.remaining(), 0);

@@ -12,7 +12,7 @@
 //! positive rate is `(1 - e^{-kn/m})^k ≈ 0.6185^b`. Eight bits per
 //! item gives ~2% FP; twelve gives ~0.3%.
 
-use crate::codec::{put_varint, Cursor};
+use crate::codec::{put_varint, varint_len, Cursor};
 use crate::hash::DoubleHasher;
 use crate::ReconError;
 
@@ -114,12 +114,11 @@ impl Bloom {
 
     /// Serialized size in bytes (exact).
     pub fn encoded_len(&self) -> usize {
-        let mut probe = Vec::with_capacity(32);
-        put_varint(&mut probe, self.seed);
-        put_varint(&mut probe, self.bits);
-        put_varint(&mut probe, self.items);
         // tag + hashes byte + header varints + raw words
-        2 + probe.len() + self.words.len() * 8
+        2 + varint_len(self.seed)
+            + varint_len(self.bits)
+            + varint_len(self.items)
+            + self.words.len() * 8
     }
 
     pub fn encode(&self, out: &mut Vec<u8>) {

@@ -28,7 +28,24 @@ pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 #[inline]
 pub(crate) fn put_signed(out: &mut Vec<u8>, v: i64) {
     // zigzag: small magnitudes (either sign) stay short on the wire.
-    put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
+    put_varint(out, zigzag(v));
+}
+
+#[inline]
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Bytes [`put_varint`] writes for `v`.
+#[inline]
+pub(crate) fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Bytes [`put_signed`] writes for `v`.
+#[inline]
+pub(crate) fn signed_len(v: i64) -> usize {
+    varint_len(zigzag(v))
 }
 
 /// Bounds-checked cursor over an input slice.
@@ -106,6 +123,7 @@ mod tests {
         for v in [0u64, 1, 127, 128, 300, u64::MAX, u64::MAX - 1] {
             buf.clear();
             put_varint(&mut buf, v);
+            assert_eq!(varint_len(v), buf.len());
             let mut c = Cursor::new(&buf);
             assert_eq!(c.get_varint().unwrap(), v);
             assert!(c.is_empty());

@@ -17,7 +17,7 @@
 //! partition, so a key's probes never collide with each other, which
 //! measurably improves the peel success rate at small sizes.
 
-use crate::codec::{put_signed, put_varint, Cursor};
+use crate::codec::{put_signed, put_varint, signed_len, varint_len, Cursor};
 use crate::hash::{key_check, key_hash};
 use crate::ReconError;
 
@@ -210,7 +210,17 @@ impl Iblt {
 
     /// Serialized size in bytes (exact).
     pub fn encoded_len(&self) -> usize {
-        self.to_bytes().len()
+        let cells: usize = self
+            .cells
+            .iter()
+            .map(|c| {
+                signed_len(c.count)
+                    + varint_len(c.key_sum as u64)
+                    + varint_len((c.key_sum >> 64) as u64)
+                    + varint_len(c.check_sum)
+            })
+            .sum();
+        1 + varint_len(self.seed) + varint_len(self.cells.len() as u64) + cells
     }
 
     pub fn encode(&self, out: &mut Vec<u8>) {

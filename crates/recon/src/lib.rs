@@ -205,11 +205,19 @@ mod adversarial {
             seed in any::<u64>(),
         ) {
             let mut t = Iblt::for_expected_diff(keys.len() / 4, seed);
-            for k in &keys {
+            let mut other = Iblt::for_expected_diff(keys.len() / 4, seed);
+            for (i, k) in keys.iter().enumerate() {
                 t.insert(*k as u128);
+                if i % 3 == 0 {
+                    other.insert(((*k as u128) << 64) | 1);
+                }
             }
             let bytes = t.to_bytes();
-            prop_assert_eq!(Iblt::from_bytes(&bytes).unwrap(), t);
+            prop_assert_eq!(bytes.len(), t.encoded_len());
+            prop_assert_eq!(Iblt::from_bytes(&bytes).unwrap(), t.clone());
+            // Negative counts and high key words size exactly too.
+            let diff = t.subtract(&other).unwrap();
+            prop_assert_eq!(diff.to_bytes().len(), diff.encoded_len());
         }
     }
 }
